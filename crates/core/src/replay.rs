@@ -1,11 +1,9 @@
-//! The live cluster-loss replay engine.
+//! The live cluster-loss replay engine — the repo's one recovery path.
 //!
-//! [`LockstepDrill`](crate::drill::LockstepDrill) proves the protocol in
-//! a single-threaded, hand-scheduled world. This module is the real
-//! thing: the workload runs as a live `simmpi` world (every rank a
-//! scheduled task, real blocking receives), a [`FaultScenario`] kills an
-//! entire L1 cluster mid-run, and recovery happens against the same
-//! machinery a production run would use —
+//! The workload runs as a live `simmpi` world (every rank a scheduled
+//! task, real blocking receives), a [`FaultScenario`] kills a node, an
+//! entire L1 cluster or a PSU group mid-run, and recovery happens
+//! against the same machinery a production run would use —
 //!
 //! 1. the failed nodes' on-disk checkpoints are destroyed and their
 //!    ranks' in-memory state is lost;
@@ -436,9 +434,7 @@ impl ReplayConfig {
     }
 }
 
-/// What a scenario run did, in numbers — the unified report the
-/// drill's pre-`FaultScenario` entry points (manual kill + `recover` +
-/// ad-hoc counters) never produced.
+/// What a scenario run did, in numbers.
 #[derive(Debug)]
 pub struct ReplayOutcome {
     /// Iteration at which the primary failure struck.
@@ -712,7 +708,14 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
                         break;
                     }
                 }
-                let Some(r) = bad else { break payloads };
+                let Some(r) = bad else {
+                    self.telemetry.event(
+                        EventKind::RebuildComplete,
+                        frontier,
+                        format!("epoch={epoch}"),
+                    );
+                    break payloads;
+                };
                 if quarantine_budget == 0 {
                     return Err(HcftError::Recovery(format!(
                         "checkpoint corruption persisted past the quarantine budget \

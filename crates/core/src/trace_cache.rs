@@ -33,29 +33,68 @@ use crate::experiment::{run_traced_job, TraceKey, TraceResult, TracedJobConfig};
 /// A single-flight slot: the first missing caller publishes the result
 /// here; stampeding callers wait on the condvar.
 struct Flight {
-    done: Mutex<Option<Arc<TraceResult>>>,
+    done: Mutex<FlightState>,
     cv: Condvar,
+}
+
+enum FlightState {
+    Building,
+    Ready(Arc<TraceResult>),
+    /// The building caller panicked; its entry is already gone.
+    Failed,
 }
 
 impl Flight {
     fn new() -> Self {
         Flight {
-            done: Mutex::new(None),
+            done: Mutex::new(FlightState::Building),
             cv: Condvar::new(),
         }
     }
 
-    fn publish(&self, result: Arc<TraceResult>) {
-        *self.done.lock() = Some(result);
+    fn finish(&self, state: FlightState) {
+        *self.done.lock() = state;
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> Arc<TraceResult> {
+    /// Block until the flight lands. Panics if the building caller
+    /// panicked: the joined trace will never exist, and a fresh call
+    /// re-traces the key.
+    fn wait(&self, key: TraceKey) -> Arc<TraceResult> {
         let mut done = self.done.lock();
-        while done.is_none() {
-            self.cv.wait(&mut done);
+        loop {
+            match &*done {
+                FlightState::Building => self.cv.wait(&mut done),
+                FlightState::Ready(t) => return Arc::clone(t),
+                FlightState::Failed => {
+                    panic!("trace {key} panicked in the caller building it; retry to re-trace")
+                }
+            }
         }
-        Arc::clone(done.as_ref().expect("published above"))
+    }
+}
+
+/// Unwind guard held by the caller building an entry. Unless disarmed
+/// by a successful publication, dropping it (i.e. the builder panicked)
+/// removes the `Building` entry so a later call re-traces the key, and
+/// fails the flight so joined waiters wake instead of blocking forever.
+struct BuildGuard<'a> {
+    cache: &'a TraceCache,
+    key: TraceKey,
+    flight: Arc<Flight>,
+    published: bool,
+}
+
+impl Drop for BuildGuard<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            self.cache
+                .inner
+                .lock()
+                .entries
+                .retain(|e| e.key != self.key);
+            self.flight.finish(FlightState::Failed);
+        }
     }
 }
 
@@ -169,9 +208,14 @@ impl TraceCache {
     /// The trace for `cfg`: served from cache when resident, joined to
     /// an in-flight computation when one exists, computed (exactly once)
     /// otherwise. A hit — shared or resident — never calls
-    /// [`run_traced_job`].
+    /// [`run_traced_job`]. If the computation panics, the key is left
+    /// absent (the next call re-traces it) and every joined caller
+    /// panics too rather than waiting forever.
     pub fn get_or_trace(&self, cfg: &TracedJobConfig) -> Arc<TraceResult> {
-        let key = cfg.content_hash();
+        self.get_or_build(cfg.content_hash(), || run_traced_job(cfg))
+    }
+
+    fn get_or_build(&self, key: TraceKey, build: impl FnOnce() -> TraceResult) -> Arc<TraceResult> {
         let flight;
         {
             let mut inner = self.inner.lock();
@@ -191,7 +235,7 @@ impl TraceCache {
                         self.record_hit();
                         let f = Arc::clone(f);
                         drop(inner);
-                        return f.wait();
+                        return f.wait(key);
                     }
                 }
             }
@@ -203,9 +247,15 @@ impl TraceCache {
                 last_used: tick,
             });
         }
+        let mut guard = BuildGuard {
+            cache: self,
+            key,
+            flight,
+            published: false,
+        };
         // Trace outside the lock: concurrent requests for *other* keys
         // proceed, identical ones join the flight above.
-        let result = Arc::new(run_traced_job(cfg));
+        let result = Arc::new(build());
         {
             let mut inner = self.inner.lock();
             let e = inner
@@ -217,7 +267,8 @@ impl TraceCache {
             self.evict_over_bound(&mut inner);
             self.publish_gauges(&inner);
         }
-        flight.publish(Arc::clone(&result));
+        guard.flight.finish(FlightState::Ready(Arc::clone(&result)));
+        guard.published = true;
         result
     }
 
@@ -324,5 +375,58 @@ mod tests {
         cache.get_or_trace(&c2);
         let (_, m_after_c2, _) = cache.stats();
         assert_eq!(m_after_c2, m_after_c1 + 1, "LRU victim c2 was re-traced");
+    }
+
+    #[test]
+    fn panicking_build_wakes_waiters_and_frees_the_key() {
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+
+        let cache = Arc::new(TraceCache::new(4));
+        let cfg = TracedJobConfig::small(2, 2);
+        let key = cfg.content_hash();
+        let barrier = Arc::new(Barrier::new(2));
+
+        // The builder enters its computation, lets the waiter in, holds
+        // until the waiter has joined the flight, then panics.
+        let builder = {
+            let (cache, barrier) = (Arc::clone(&cache), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let joined = Arc::clone(&cache);
+                cache.get_or_build(key, || {
+                    barrier.wait();
+                    while joined.stats().0 == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("injected trace failure");
+                })
+            })
+        };
+        let (tx, rx) = mpsc::channel();
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                barrier.wait();
+                let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.get_or_build(key, || unreachable!("the key is building"))
+                }));
+                let _ = tx.send(joined.is_err());
+            })
+        };
+        let waiter_panicked = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("waiter joined to a panicked build must wake, not hang");
+        assert!(waiter_panicked, "the joined waiter has no trace to return");
+        assert!(builder.join().is_err(), "the builder's panic propagates");
+        waiter.join().expect("waiter reported");
+        assert!(
+            cache.inner.lock().entries.is_empty(),
+            "the failed entry is gone"
+        );
+
+        // The key is free again: the next call re-traces it.
+        let t = cache.get_or_trace(&cfg);
+        assert!(Arc::ptr_eq(&t, &cache.get_or_trace(&cfg)));
+        assert_eq!(cache.stats(), (2, 2, 0), "join + hit, failed + fresh miss");
     }
 }

@@ -15,9 +15,8 @@
 //! * [`senderlog`] — the sender-side payload log with memory accounting
 //!   (the "memory footprint" §II-B2 worries about);
 //! * [`recovery`] — rollback simulation over a traced event stream: the
-//!   restart set, the replay-feasibility check (every message needed
-//!   during replay is either logged or regenerated), and rolled-back
-//!   work.
+//!   restart set and the replay-feasibility check (every message needed
+//!   during replay is either logged or regenerated).
 
 pub mod determinism;
 pub mod protocol;
@@ -27,7 +26,7 @@ pub mod timeline;
 
 pub use determinism::{check_send_determinism, DeterminismReport};
 pub use protocol::{HybridProtocol, LogStats};
-pub use recovery::{check_replay, rolled_back_work, ReplayReport};
+pub use recovery::{check_replay, ReplayReport};
 pub use senderlog::SenderLog;
 pub use timeline::{log_memory_timeline, LogSample};
 

@@ -66,7 +66,7 @@ impl SenderLog {
     }
 
     /// An empty log reporting to a dedicated registry (scoped
-    /// measurements: one drill, one test).
+    /// measurements: one replay run, one test).
     pub fn with_telemetry(reg: &Registry) -> Self {
         SenderLog {
             telemetry: Some(LogCounters::in_registry(reg)),

@@ -1,11 +1,11 @@
 //! Structured event journal for failure/recovery narratives.
 //!
-//! The drill's story — inject → dead-ranks → rebuild → replay →
+//! A recovery's story — inject → dead-ranks → rebuild → replay →
 //! verified — is a sequence of discrete events, not a counter. Each
 //! [`Event`] carries two timestamps: the *virtual* time of the simulated
 //! application (phase / checkpoint epoch) and the monotonic wall offset
 //! since the owning registry was created. Wall-clock dates are never
-//! recorded; replays of the same drill produce comparable journals.
+//! recorded; replays of the same scenario produce comparable journals.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +15,7 @@ use std::sync::Mutex;
 /// sequences; free-form context goes in [`Event::detail`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
-    /// A node was killed (drill injection or campaign draw).
+    /// A node was killed (scenario injection or campaign draw).
     NodeFailure,
     /// The set of dead ranks was determined after a failure.
     DeadRanks,
@@ -58,7 +58,7 @@ pub struct Event {
     pub detail: String,
 }
 
-/// Default ring capacity: enough for any drill or campaign narrative
+/// Default ring capacity: enough for any replay or campaign narrative
 /// while bounding memory for long-running processes.
 const DEFAULT_CAPACITY: usize = 4096;
 

@@ -2,8 +2,8 @@
 //!
 //! Everything here is lock-free and uses `Ordering::Relaxed` — metrics
 //! observe totals, they never synchronise program state, and the hot
-//! paths (erasure kernels, drill steps, sender-log appends) cannot
-//! afford anything stronger.
+//! paths (erasure kernels, sender-log appends) cannot afford anything
+//! stronger.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -2,7 +2,7 @@
 //!
 //! A [`Registry`] owns every counter, gauge, histogram and the event
 //! journal for one measurement scope. Most production code reports to
-//! the process-wide [`Registry::global`]; drills and tests that need
+//! the process-wide [`Registry::global`]; replay runs and tests that need
 //! isolation (parallel `cargo test` shares one process!) create their
 //! own instance and thread it through `with_telemetry` constructors.
 //!
@@ -44,7 +44,7 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A fresh registry for a scoped measurement (one drill, one test).
+    /// A fresh registry for a scoped measurement (one replay run, one test).
     pub fn new() -> Arc<Registry> {
         Arc::new(Registry::default())
     }

@@ -9,12 +9,14 @@
 
 use hcft::prelude::*;
 use hcft::tsunami::sequential::SequentialSim;
+use hcft::tsunami::RankState;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nodes = 16;
     let ppn = 4;
     let placement = Placement::block(nodes, ppn);
     let grid = (64, 64);
+    let (fail_at, total) = (25, 40);
 
     // Hierarchical clustering over a synthetic chain node-graph (in a
     // real deployment this comes from a traced run — see `quickstart`).
@@ -41,47 +43,48 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let store = std::env::temp_dir().join(format!("hcft-drill-example-{}", std::process::id()));
-    let mut drill = LockstepDrill::new(
-        placement,
-        scheme,
-        DrillConfig {
-            grid,
-            checkpoint_every: 10,
-            level: Level::Encoded,
-            store_root: store.clone(),
-        },
-    )?;
+    let mut cfg = ReplayConfig::new(&store);
+    cfg.checkpoint_every = 10;
+    let params = TsunamiParams::stable(grid.0, grid.1);
+    let engine = ReplayEngine::new(TsunamiWorkload::new(params.clone()), placement, scheme, cfg);
 
-    println!("running 25 iterations with encoded checkpoints every 10…");
-    drill.run_to(25)?;
     println!(
-        "  sender logs hold {} bytes of inter-cluster halos",
-        drill.log_memory_bytes()
+        "running {total} iterations with encoded checkpoints every 10; \
+         killing node 7 (in-memory state + on-disk checkpoints) at iteration {fail_at}…"
     );
-
-    println!("killing node 7 (in-memory state + on-disk checkpoints)…");
-    let scenario = FaultScenario::node_loss(NodeId(7), 25);
-    let dead = drill.inject(&scenario)?;
-    println!("  dead ranks: {dead:?}");
-
-    let restarted = drill.recover()?;
-    println!(
-        "recovered: {} ranks rolled back (one L1 cluster of 4 nodes), replayed to iteration {}",
-        restarted.len(),
-        drill.phase()
-    );
-
-    // Verify against an uninterrupted sequential reference — bit for bit.
-    let mut reference = SequentialSim::new(TsunamiParams::stable(grid.0, grid.1));
-    reference.run(25);
-    assert_eq!(drill.global_eta(), reference.eta);
-    println!("verification: recovered field is BIT-IDENTICAL to an uninterrupted run");
-
-    drill.run_to(40)?;
-    reference.run(15);
-    assert_eq!(drill.global_eta(), reference.eta);
-    println!("continued to iteration 40 — still identical. Drill complete.");
-
+    let out = engine.run(&FaultScenario::node_loss(NodeId(7), fail_at), total)?;
     let _ = std::fs::remove_dir_all(&store);
+    println!("  dead ranks: {:?}", out.failed_ranks);
+    println!(
+        "recovered: {} ranks rolled back to iteration {} (one L1 cluster of 4 nodes), \
+         {} logged halos ({} bytes) replayed",
+        out.restart_set.len(),
+        out.recovered_phase,
+        out.messages_replayed,
+        out.bytes_replayed
+    );
+
+    // Verify against an uninterrupted run — bit for bit, both the
+    // engine's own reference and the sequential solver's field.
+    assert!(out.matches(&engine.reference(total)));
+    let mut reference = SequentialSim::new(params.clone());
+    reference.run(total);
+    let mut eta = vec![0.0f64; grid.0 * grid.1];
+    for (r, payload) in out.final_state.iter().enumerate() {
+        let mut st = RankState::new(&params, out.final_state.len(), r);
+        st.restore_state(payload)?;
+        let d = st.decomp();
+        let local = st.local_eta();
+        for j in 0..d.lny {
+            for i in 0..d.lnx {
+                eta[(d.y0 + j) * grid.0 + d.x0 + i] = local[j * d.lnx + i];
+            }
+        }
+    }
+    assert_eq!(eta, reference.eta);
+    println!(
+        "verification: field at iteration {total} is BIT-IDENTICAL to an uninterrupted run. \
+         Drill complete."
+    );
     Ok(())
 }

@@ -422,28 +422,25 @@ pub struct TraceResult {
 }
 
 impl TraceResult {
-    /// Approximate resident size of this trace — the matrices plus the
-    /// event streams. Drives the trace cache's `service.cache.bytes`
+    /// Approximate resident size of this trace — the matrices' heap plus
+    /// the event streams. Drives the trace cache's `service.cache.bytes`
     /// accounting.
     pub fn approx_bytes(&self) -> u64 {
-        let cell = std::mem::size_of::<u64>() as u64;
-        let full = (self.full.n() as u64).pow(2) * cell;
-        let app = (self.app.n() as u64).pow(2) * cell;
-        let events: u64 = self
+        let events: usize = self
             .app_events
             .iter()
-            .map(|s| (s.len() * std::mem::size_of::<hcft_msglog::MsgEvent>()) as u64)
+            .map(|s| s.len() * std::mem::size_of::<hcft_msglog::MsgEvent>())
             .sum();
-        full + app + events
+        (self.full.heap_bytes() + self.app.heap_bytes() + events) as u64
     }
 }
 
 /// The raw outcome of a traced world run: the layout plus the live
-/// trace recorder, before any dense matrix is materialised. At
-/// full-TSUBAME2 scale (23 936 ranks) each dense [`CommMatrix`] costs
-/// ~4.6 GB, so the scale benches consume the recorder directly; the
-/// figure pipeline goes through [`run_traced_job`], which projects the
-/// matrices it needs.
+/// trace recorder, before any [`CommMatrix`] is built from it. The
+/// scale benches consume the recorder directly; the figure pipeline
+/// goes through [`run_traced_job`], which snapshots the full matrix and
+/// projects the application one. Both the recorder and the matrices
+/// grow with the non-zero cells, not with n².
 pub struct TracedWorld {
     /// The job layout (global rank numbering).
     pub layout: JobLayout,
@@ -1021,6 +1018,21 @@ mod builder_tests {
 #[cfg(test)]
 mod event_tests {
     use super::*;
+
+    #[test]
+    fn approx_bytes_bills_the_matrix_heap_and_events() {
+        let mut cfg = TracedJobConfig::small(8, 4);
+        cfg.record_events = true;
+        let t = run_traced_job(&cfg);
+        let event = std::mem::size_of::<hcft_msglog::MsgEvent>();
+        let events: usize = t.app_events.iter().map(|s| s.len() * event).sum();
+        assert!(events > 0);
+        let sparse = t.full.heap_bytes() + t.app.heap_bytes();
+        assert_eq!(t.approx_bytes(), (sparse + events) as u64);
+        // The n²·8 formula this replaced billed a dense matrix pair.
+        let dense = (t.full.n().pow(2) + t.app.n().pow(2)) * 8;
+        assert!(sparse < dense, "{sparse} vs dense {dense}");
+    }
 
     #[test]
     fn recorded_events_match_the_app_matrix() {

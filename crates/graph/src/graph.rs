@@ -6,6 +6,7 @@
 //! constraints speak in "nodes", matching the paper's "minimum 4 nodes per
 //! L1 cluster".
 
+use crate::csr::CsrGraph;
 use crate::matrix::CommMatrix;
 
 /// Undirected weighted graph with vertex weights, adjacency-list storage.
@@ -30,21 +31,22 @@ impl WeightedGraph {
         }
     }
 
-    /// Build from a communication matrix, symmetrising directed traffic.
-    /// Diagonal entries become self-loop weights.
+    /// Build from a communication matrix, symmetrising directed traffic
+    /// in one pass over its non-zero cells. Diagonal entries become
+    /// self-loop weights; adjacency rows are sorted by neighbour id.
     pub fn from_comm_matrix(m: &CommMatrix) -> Self {
         let n = m.n();
-        let mut g = WeightedGraph::new(n);
-        for u in 0..n {
-            g.selfw[u] = m.get(u, u);
-            for v in (u + 1)..n {
-                let w = m.get(u, v) + m.get(v, u);
-                if w > 0 {
-                    g.adj[u].push((v as u32, w));
-                    g.adj[v].push((u as u32, w));
-                }
+        let mut selfw = vec![0; n];
+        let mut edges = Vec::with_capacity(m.edge_count());
+        for (s, d, b) in m.entries() {
+            if s == d {
+                selfw[s] = b;
+            } else {
+                edges.push((s as u32, d as u32, b));
             }
         }
+        let mut g = CsrGraph::from_edges(n, vec![1; n], &edges).to_weighted_graph();
+        g.selfw = selfw;
         g
     }
 
@@ -193,6 +195,22 @@ mod tests {
         assert_eq!(g.edge_weight(1, 0), 12);
         assert_eq!(g.self_weight(2), 9);
         assert_eq!(g.edge_count(), 1);
+    }
+
+    #[test]
+    fn from_comm_matrix_matches_pairwise_symmetrisation() {
+        let mut m = crate::patterns::random_sparse(40, 300, 7, 3);
+        m.add(5, 5, 11);
+        let g = WeightedGraph::from_comm_matrix(&m);
+        for u in 0..m.n() {
+            let want: Vec<(u32, u64)> = (0..m.n())
+                .filter(|&v| v != u && m.between(u, v) > 0)
+                .map(|v| (v as u32, m.between(u, v)))
+                .collect();
+            assert_eq!(g.neighbors(u), &want[..], "row {u}");
+            assert_eq!(g.self_weight(u), m.get(u, u));
+            assert_eq!(g.vertex_weight(u), 1);
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! communication matrix of the traced application (Fig. 5a/5b). This crate
 //! provides:
 //!
-//! * [`CommMatrix`] — dense (sender, receiver) → bytes matrix, with
-//!   aggregation to a node-level matrix, projection onto rank subsets and
-//!   CSV/ASCII rendering;
+//! * [`CommMatrix`] — sparse (sender, receiver) → bytes matrix stored
+//!   as sorted sender-major rows, with aggregation to a node-level
+//!   matrix, projection onto rank subsets and CSV/ASCII rendering;
 //! * [`WeightedGraph`] — the undirected weighted graph the partitioner
 //!   consumes;
 //! * [`CsrGraph`] — the same adjacency packed into sorted compressed

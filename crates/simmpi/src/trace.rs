@@ -7,27 +7,18 @@
 //!   application-defined *phase* (iteration / checkpoint epoch), which the
 //!   message-logging replay simulation consumes.
 //!
-//! The matrix storage switches on world size. Up to
-//! `SPARSE_THRESHOLD` ranks it is two dense `n²` atomic arrays
-//! (contention-free because each cell is touched by a single sender at a
-//! time in practice). Beyond that — the full-TSUBAME2 22k-rank run would
-//! need ~9 GiB of dense counters for a matrix that is overwhelmingly
-//! zeros (stencil + power-of-two collective edges are O(n log n)) — it
-//! is one lock-striped hash map per sender, keyed by destination. The
-//! sender-major striping preserves the dense layout's contention story:
-//! a rank only ever locks its own row.
+//! Both live in one locked row per sender: the cells it has sent to, as
+//! `(dst, bytes, msgs)` sorted by `dst`, and its event log. A rank only
+//! ever locks its own row while it runs, so recording is uncontended,
+//! and storage grows with the non-zero cells (stencil + encoder ring +
+//! O(log n) collective partners per rank) rather than with n² — the
+//! full-TSUBAME2 machine (23 936 ranks) traces in megabytes. Cells are
+//! visited in `(src, dst)` order at every world size.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::runtime::FnvMap;
 use hcft_graph::CommMatrix;
 use parking_lot::Mutex;
-
-/// World sizes above this record into per-sender sparse rows instead of
-/// dense `n²` arrays. 4096 dense ranks cost 256 MiB of counters — fine;
-/// the next doubling starts to hurt, and paper-scale runs (1088) stay
-/// comfortably dense, keeping the hot path branch-predictable.
-const SPARSE_THRESHOLD: usize = 4096;
 
 /// One traced point-to-point message (collective steps decompose into
 /// these too, exactly as a PMPI tracer would see them).
@@ -45,22 +36,19 @@ pub struct MessageEvent {
     pub phase: u64,
 }
 
-/// Matrix storage: dense atomics below `SPARSE_THRESHOLD`, per-sender
-/// sparse rows above.
-enum Cells {
-    Dense {
-        bytes: Vec<AtomicU64>,
-        msgs: Vec<AtomicU64>,
-    },
-    /// `rows[src]` maps destination → (bytes, msgs).
-    Sparse(Vec<Mutex<FnvMap<u32, (u64, u64)>>>),
+/// Everything one sender has recorded.
+#[derive(Default)]
+struct SenderRow {
+    /// `(dst, bytes, msgs)`, strictly ascending by `dst`.
+    cells: Vec<(u32, u64, u64)>,
+    /// Ordered event log (stays empty unless events are recorded).
+    events: Vec<MessageEvent>,
 }
 
 /// Concurrent trace sink shared by all ranks of a [`crate::World`].
 pub struct TraceRecorder {
-    n: usize,
-    cells: Cells,
-    events: Option<Vec<Mutex<Vec<MessageEvent>>>>,
+    rows: Vec<Mutex<SenderRow>>,
+    with_events: bool,
     enabled: AtomicBool,
 }
 
@@ -69,25 +57,16 @@ impl TraceRecorder {
     /// the per-sender ordered event log (costs memory proportional to the
     /// message count).
     pub fn new(n: usize, with_events: bool) -> Self {
-        let cells = if n <= SPARSE_THRESHOLD {
-            Cells::Dense {
-                bytes: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-                msgs: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-            }
-        } else {
-            Cells::Sparse((0..n).map(|_| Mutex::new(FnvMap::default())).collect())
-        };
         TraceRecorder {
-            n,
-            cells,
-            events: with_events.then(|| (0..n).map(|_| Mutex::new(Vec::new())).collect()),
+            rows: (0..n).map(|_| Mutex::default()).collect(),
+            with_events,
             enabled: AtomicBool::new(true),
         }
     }
 
     /// Number of world ranks covered.
     pub fn n(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
     /// Pause/resume recording (e.g. to exclude a warm-up phase).
@@ -100,70 +79,40 @@ impl TraceRecorder {
         if !self.enabled.load(Ordering::Acquire) {
             return;
         }
-        match &self.cells {
-            Cells::Dense { bytes, msgs } => {
-                let cell = ev.src as usize * self.n + ev.dst as usize;
-                bytes[cell].fetch_add(ev.bytes, Ordering::Relaxed);
-                msgs[cell].fetch_add(1, Ordering::Relaxed);
+        let row = &mut *self.rows[ev.src as usize].lock();
+        match row.cells.binary_search_by_key(&ev.dst, |c| c.0) {
+            Ok(i) => {
+                row.cells[i].1 += ev.bytes;
+                row.cells[i].2 += 1;
             }
-            Cells::Sparse(rows) => {
-                let e = &mut *rows[ev.src as usize].lock();
-                let slot = e.entry(ev.dst).or_insert((0, 0));
-                slot.0 += ev.bytes;
-                slot.1 += 1;
-            }
+            Err(i) => row.cells.insert(i, (ev.dst, ev.bytes, 1)),
         }
-        if let Some(logs) = &self.events {
-            logs[ev.src as usize].lock().push(ev);
+        if self.with_events {
+            row.events.push(ev);
         }
     }
 
-    /// Visit every non-zero cell as `(src, dst, bytes, msgs)`. Sparse
-    /// rows iterate in hash order; callers that need determinism (CSV
-    /// emission) sort or re-grid downstream, and the dense path feeds
-    /// [`CommMatrix`] which is order-insensitive.
+    /// Visit every non-zero cell as `(src, dst, bytes, msgs)`, in
+    /// ascending `(src, dst)` order.
     pub fn for_each_cell(&self, mut f: impl FnMut(usize, usize, u64, u64)) {
-        match &self.cells {
-            Cells::Dense { bytes, msgs } => {
-                for s in 0..self.n {
-                    for d in 0..self.n {
-                        let b = bytes[s * self.n + d].load(Ordering::Relaxed);
-                        let c = msgs[s * self.n + d].load(Ordering::Relaxed);
-                        if b > 0 || c > 0 {
-                            f(s, d, b, c);
-                        }
-                    }
-                }
-            }
-            Cells::Sparse(rows) => {
-                for (s, row) in rows.iter().enumerate() {
-                    for (&d, &(b, c)) in row.lock().iter() {
-                        f(s, d as usize, b, c);
-                    }
-                }
+        for (s, row) in self.rows.iter().enumerate() {
+            for &(d, b, c) in &row.lock().cells {
+                f(s, d as usize, b, c);
             }
         }
     }
 
     /// Snapshot the byte matrix.
     pub fn byte_matrix(&self) -> CommMatrix {
-        let mut m = CommMatrix::new(self.n);
-        self.for_each_cell(|s, d, b, _| {
-            if b > 0 {
-                m.add(s, d, b);
-            }
-        });
+        let mut m = CommMatrix::new(self.n());
+        self.for_each_cell(|s, d, b, _| m.add(s, d, b));
         m
     }
 
     /// Snapshot the message-count matrix.
     pub fn count_matrix(&self) -> CommMatrix {
-        let mut m = CommMatrix::new(self.n);
-        self.for_each_cell(|s, d, _, c| {
-            if c > 0 {
-                m.add(s, d, c);
-            }
-        });
+        let mut m = CommMatrix::new(self.n());
+        self.for_each_cell(|s, d, _, c| m.add(s, d, c));
         m
     }
 
@@ -184,13 +133,13 @@ impl TraceRecorder {
     /// Drain the ordered event logs (sender-major). Empty if the recorder
     /// was built without event logging.
     pub fn take_events(&self) -> Vec<Vec<MessageEvent>> {
-        match &self.events {
-            None => Vec::new(),
-            Some(logs) => logs
-                .iter()
-                .map(|l| std::mem::take(&mut *l.lock()))
-                .collect(),
+        if !self.with_events {
+            return Vec::new();
         }
+        self.rows
+            .iter()
+            .map(|row| std::mem::take(&mut row.lock().events))
+            .collect()
     }
 }
 
@@ -214,20 +163,23 @@ mod tests {
         t.record(ev(0, 1, 10));
         t.record(ev(0, 1, 5));
         t.record(ev(2, 0, 7));
+        // A zero-byte message counts but leaves no byte cell.
+        t.record(ev(1, 2, 0));
         let b = t.byte_matrix();
         assert_eq!(b.get(0, 1), 15);
         assert_eq!(b.get(2, 0), 7);
+        assert_eq!(b.edge_count(), 2);
         assert_eq!(t.count_matrix().get(0, 1), 2);
+        assert_eq!(t.count_matrix().get(1, 2), 1);
         assert_eq!(t.total_bytes(), 22);
-        assert_eq!(t.total_messages(), 3);
+        assert_eq!(t.total_messages(), 4);
     }
 
     #[test]
     fn sparse_recorder_matches_dense_semantics() {
-        // One rank past the threshold flips to sparse rows; the
-        // observable API must not change.
-        let t = TraceRecorder::new(SPARSE_THRESHOLD + 1, false);
-        assert!(matches!(t.cells, Cells::Sparse(_)));
+        // A world past the old dense/sparse switch (4096 ranks): the
+        // observable API is the same at every size.
+        let t = TraceRecorder::new(4097, false);
         t.record(ev(0, 1, 10));
         t.record(ev(0, 1, 5));
         t.record(ev(4096, 0, 7));
@@ -239,8 +191,66 @@ mod tests {
         assert_eq!(t.total_messages(), 3);
         let mut cells = Vec::new();
         t.for_each_cell(|s, d, bytes, msgs| cells.push((s, d, bytes, msgs)));
-        cells.sort_unstable();
+        // No sort: cells arrive in ascending (src, dst) order.
         assert_eq!(cells, vec![(0, 1, 15, 2), (4096, 0, 7, 1)]);
+    }
+
+    #[test]
+    fn for_each_cell_is_src_dst_ascending() {
+        let t = TraceRecorder::new(6, false);
+        for (s, d) in [(3, 5), (3, 0), (0, 4), (5, 1), (3, 2), (0, 1), (3, 0)] {
+            t.record(ev(s, d, 1));
+        }
+        let mut cells = Vec::new();
+        t.for_each_cell(|s, d, _, _| cells.push((s, d)));
+        assert!(cells.windows(2).all(|w| w[0] < w[1]), "{cells:?}");
+        assert_eq!(cells.len(), 6);
+    }
+
+    /// The full TSUBAME2 machine (1408 nodes × 16 app ranks + 1 encoder
+    /// each): a stencil on a 11264×2 app grid, app → own-encoder pushes
+    /// and the encoder parity ring, recorded without running a world.
+    /// Dense storage would need 23 936² cells (~4.6 GB per matrix).
+    #[test]
+    fn machine_scale_trace_stays_sparse() {
+        let layout = hcft_topology::JobLayout::with_encoders(1408, 16);
+        let n = layout.total_ranks();
+        assert_eq!(n, 23_936);
+        let t = TraceRecorder::new(n, false);
+        let global = |a: usize| layout.app_to_global(a).idx() as u32;
+        let rpn = layout.ranks_per_node();
+        let (px, py) = (layout.app_ranks() / 2, 2);
+        for y in 0..py {
+            for x in 0..px {
+                let me = global(y * px + x);
+                let nbrs = [
+                    (x > 0).then(|| y * px + x - 1),
+                    (x + 1 < px).then(|| y * px + x + 1),
+                    (y > 0).then(|| (y - 1) * px + x),
+                    (y + 1 < py).then(|| (y + 1) * px + x),
+                ];
+                for a in nbrs.into_iter().flatten() {
+                    t.record(ev(me, global(a), 4096));
+                }
+                t.record(ev(me, (me as usize / rpn * rpn) as u32, 8));
+            }
+        }
+        for node in 0..layout.nodes() {
+            let next = (node + 1) % layout.nodes();
+            t.record(ev((node * rpn) as u32, (next * rpn) as u32, 1 << 20));
+        }
+        let stencil = 2 * py * (px - 1) + 2 * px * (py - 1);
+        let full = t.byte_matrix();
+        assert_eq!(
+            full.edge_count(),
+            stencil + layout.app_ranks() + layout.nodes()
+        );
+        let app = full.project(&layout.application_ranks());
+        assert_eq!(app.n(), 22_528);
+        assert_eq!(app.edge_count(), stencil);
+        const LIMIT: usize = 32 << 20;
+        assert!(full.heap_bytes() < LIMIT, "{}", full.heap_bytes());
+        assert!(app.heap_bytes() < LIMIT, "{}", app.heap_bytes());
     }
 
     #[test]

@@ -13,12 +13,18 @@
 //!   cluster's occupied nodes combined with hypergeometric weights, then
 //!   a union bound across clusters (tight for the small probabilities
 //!   where it is used; replaced by Monte Carlo when the bound is loose).
+//!
+//! The Monte-Carlo estimator is an allocation-free kernel: a persistent
+//! partial Fisher–Yates pool per chunk (restored by undoing its swaps)
+//! feeds a node → cluster incidence, so one sample costs `O(j)` draws
+//! plus the failed nodes' incidence rows. It consumes each chunk's RNG
+//! exactly like `rand::seq::index::sample`, so its estimates are
+//! bit-identical to sampling a fresh index set per draw.
 
 use hcft_graph::Clustering;
 use hcft_topology::Placement;
 use rand::rngs::StdRng;
-use rand::seq::index::sample;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rayon::prelude::*;
 
 use crate::combinatorics::choose;
@@ -36,6 +42,245 @@ struct ClusterNodes {
     counts: Vec<(usize, u32)>,
     /// Erasure tolerance of this cluster.
     tolerance: u32,
+}
+
+/// Seed offset of the Monte-Carlo fallback inside `p_catastrophic`.
+const MC_SEED: u64 = 0x9e3779b97f4a7c15;
+/// Samples per Monte-Carlo fallback inside `p_catastrophic`.
+const MC_SAMPLES: usize = 16_000;
+/// Independent RNG streams per Monte-Carlo estimate; chunk `c` is
+/// seeded `seed + c`.
+const MC_CHUNKS: usize = 8;
+
+/// Samples drawn by chunk `c`: an even split, with the first
+/// `samples % MC_CHUNKS` chunks drawing one extra so every requested
+/// sample is drawn.
+fn chunk_len(samples: usize, c: usize) -> usize {
+    samples / MC_CHUNKS + usize::from(c < samples % MC_CHUNKS)
+}
+
+/// Node → (cluster, member count) incidence in CSR form. Row `n` lists
+/// every cluster with members on node `n`, so a sample's test walks
+/// only its failed nodes' rows instead of every cluster's node list.
+struct Incidence {
+    /// Row `n` is `entries[offsets[n]..offsets[n + 1]]`.
+    offsets: Vec<u32>,
+    /// (cluster index, members on the node).
+    entries: Vec<(u32, u32)>,
+    /// Erasure tolerance per cluster index.
+    tolerance: Vec<u32>,
+}
+
+impl Incidence {
+    fn new<'a>(nodes: usize, digests: impl Iterator<Item = &'a ClusterNodes> + Clone) -> Self {
+        let mut offsets = vec![0u32; nodes + 1];
+        for d in digests.clone() {
+            for &(node, _) in &d.counts {
+                offsets[node + 1] += 1;
+            }
+        }
+        for n in 0..nodes {
+            offsets[n + 1] += offsets[n];
+        }
+        let mut fill = offsets.clone();
+        let mut entries = vec![(0u32, 0u32); offsets[nodes] as usize];
+        let mut tolerance = Vec::new();
+        for (c, d) in digests.enumerate() {
+            for &(node, cnt) in &d.counts {
+                entries[fill[node] as usize] = (c as u32, cnt);
+                fill[node] += 1;
+            }
+            tolerance.push(d.tolerance);
+        }
+        Incidence {
+            offsets,
+            entries,
+            tolerance,
+        }
+    }
+
+    fn nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn row(&self, node: u32) -> &[(u32, u32)] {
+        let n = node as usize;
+        &self.entries[self.offsets[n] as usize..self.offsets[n + 1] as usize]
+    }
+}
+
+/// One Monte-Carlo chunk's reusable state. Every buffer returns to its
+/// resting state after each sample, so a chunk allocates once however
+/// many samples it draws.
+struct McScratch {
+    /// Identity permutation of `0..nodes` between samples; during a
+    /// sample, `pool[..j]` is the failed set.
+    pool: Vec<u32>,
+    /// Swap targets of the current draw, for the undo pass.
+    swaps: Vec<u32>,
+    /// Members lost per cluster; all zero between samples.
+    lost: Vec<u32>,
+}
+
+impl McScratch {
+    fn new(inc: &Incidence, j: usize) -> Self {
+        McScratch {
+            pool: (0..inc.nodes() as u32).collect(),
+            swaps: vec![0; j],
+            lost: vec![0; inc.tolerance.len()],
+        }
+    }
+
+    /// Draw `j` distinct nodes into `pool[..j]`, consuming `rng` exactly
+    /// like `rand::seq::index::sample(rng, nodes, j)`: a partial
+    /// Fisher–Yates whose step `i` swaps `i` with `i + next_u64() %
+    /// (nodes − i)`. Call [`McScratch::undo`] before the next draw.
+    #[inline]
+    fn draw<R: RngCore>(&mut self, rng: &mut R, j: usize) {
+        let n = self.pool.len();
+        for (i, swap) in self.swaps[..j].iter_mut().enumerate() {
+            let k = i + (rng.next_u64() % (n - i) as u64) as usize;
+            self.pool.swap(i, k);
+            *swap = k as u32;
+        }
+    }
+
+    /// Undo the last draw's swaps in reverse: `pool` is the identity
+    /// permutation again.
+    #[inline]
+    fn undo(&mut self, j: usize) {
+        for (i, &k) in self.swaps[..j].iter().enumerate().rev() {
+            self.pool.swap(i, k as usize);
+        }
+    }
+
+    /// Does the current draw's failed set `pool[..j]` take more than its
+    /// tolerance from some cluster of `inc`? Adds each failed node's
+    /// incidence row into `lost`, then zeroes only the counters it
+    /// touched.
+    #[inline]
+    fn catastrophic(&mut self, inc: &Incidence, j: usize) -> bool {
+        let mut dead = false;
+        for &f in &self.pool[..j] {
+            for &(c, cnt) in inc.row(f) {
+                let lost = &mut self.lost[c as usize];
+                *lost += cnt;
+                dead |= *lost > inc.tolerance[c as usize];
+            }
+        }
+        for &f in &self.pool[..j] {
+            for &(c, _) in inc.row(f) {
+                self.lost[c as usize] = 0;
+            }
+        }
+        dead
+    }
+}
+
+/// Catastrophic draws among chunk `c`'s share of `samples` `j`-node
+/// events (`1 ≤ j ≤ nodes`), drawn from the stream seeded `seed + c`.
+fn chunk_hits(inc: &Incidence, j: usize, samples: usize, seed: u64, c: usize) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
+    let mut scratch = McScratch::new(inc, j);
+    let mut hits = 0usize;
+    for _ in 0..chunk_len(samples, c) {
+        scratch.draw(&mut rng, j);
+        hits += usize::from(scratch.catastrophic(inc, j));
+        scratch.undo(j);
+    }
+    hits
+}
+
+/// Monte-Carlo estimates of q(j) over `inc`'s clusters for every event
+/// class in `js` (parallel, deterministic per seed): the fraction of
+/// `samples` uniform `j`-node events that are catastrophic, `0.0` when
+/// `j == 0`, `j > nodes` or `samples == 0`. Every class's chunks share
+/// one parallel region; a class's estimate does not depend on the
+/// other classes in `js`.
+fn monte_carlo_qs(inc: &Incidence, js: &[usize], samples: usize, seed: u64) -> Vec<f64> {
+    let sampled = |j: usize| j > 0 && j <= inc.nodes() && samples > 0;
+    let hits: Vec<usize> = (0..js.len() * MC_CHUNKS)
+        .into_par_iter()
+        .map(|item| {
+            let j = js[item / MC_CHUNKS];
+            if sampled(j) {
+                chunk_hits(inc, j, samples, seed, item % MC_CHUNKS)
+            } else {
+                0
+            }
+        })
+        .collect();
+    js.iter()
+        .zip(hits.chunks(MC_CHUNKS))
+        .map(|(&j, chunks)| {
+            if sampled(j) {
+                chunks.iter().sum::<usize>() as f64 / samples as f64
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// The j-invariant facts every event class of one `p_catastrophic`
+/// shares, computed once per clustering instead of once per class.
+struct DigestSet {
+    digests: Vec<ClusterNodes>,
+    /// `bad[n]` = does losing node `n` alone kill some cluster?
+    bad: Vec<bool>,
+    /// Number of singly-bad nodes.
+    bad_count: usize,
+    /// Indices of the digests touching no singly-bad node.
+    residual: Vec<usize>,
+    /// Incidence over the residual digests: the Monte-Carlo fallback's
+    /// cluster set (all digests when no node is singly bad).
+    residual_incidence: Incidence,
+}
+
+impl DigestSet {
+    fn new(nodes: usize, digests: Vec<ClusterNodes>) -> Self {
+        let mut bad = vec![false; nodes];
+        for d in &digests {
+            for &(node, cnt) in &d.counts {
+                if cnt > d.tolerance {
+                    bad[node] = true;
+                }
+            }
+        }
+        let bad_count = bad.iter().filter(|&&b| b).count();
+        let residual: Vec<usize> = (0..digests.len())
+            .filter(|&i| digests[i].counts.iter().all(|&(node, _)| !bad[node]))
+            .collect();
+        let residual_incidence = Incidence::new(nodes, residual.iter().map(|&i| &digests[i]));
+        DigestSet {
+            digests,
+            bad,
+            bad_count,
+            residual,
+            residual_incidence,
+        }
+    }
+
+    /// q(j) of a [`ClassQ::Sampled`] class from the residual estimate.
+    fn with_residual(&self, p_hit_bad: f64, q_rest: f64) -> f64 {
+        let q_rest = q_rest.min(1.0);
+        if self.bad_count == 0 {
+            q_rest
+        } else {
+            (p_hit_bad + (1.0 - p_hit_bad) * q_rest).min(1.0)
+        }
+    }
+}
+
+/// Where one event class's q(j) comes from.
+enum ClassQ {
+    /// Settled analytically.
+    Exact(f64),
+    /// The union bound is loose: q(j) needs a Monte-Carlo estimate over
+    /// the residual clusters, combined with the exact probability
+    /// (carried here) of hitting a singly-bad node.
+    Sampled(f64),
 }
 
 /// Reliability model for one machine size and event distribution.
@@ -98,30 +343,33 @@ impl ReliabilityModel {
         placement: &Placement,
         tolerance: &dyn Fn(usize) -> usize,
     ) -> f64 {
-        let digests = self.digest(clustering, placement, tolerance);
-        self.q_from_digests(j, &digests)
+        let set = DigestSet::new(self.nodes, self.digest(clustering, placement, tolerance));
+        match self.q_class(j, &set) {
+            ClassQ::Exact(q) => q,
+            ClassQ::Sampled(p_hit_bad) => {
+                let q_rest = monte_carlo_qs(&set.residual_incidence, &[j], MC_SAMPLES, MC_SEED);
+                set.with_residual(p_hit_bad, q_rest[0])
+            }
+        }
     }
 
-    fn q_from_digests(&self, j: usize, digests: &[ClusterNodes]) -> f64 {
+    fn q_class(&self, j: usize, set: &DigestSet) -> ClassQ {
         let n = self.nodes;
         if j == 0 || j > n {
-            return 0.0;
+            return ClassQ::Exact(0.0);
         }
-        match j {
-            1 => {
-                let bad = self.singly_bad_nodes(digests);
-                bad.iter().filter(|&&b| b).count() as f64 / n as f64
-            }
+        let bad = &set.bad;
+        let b = set.bad_count;
+        ClassQ::Exact(match j {
+            1 => b as f64 / n as f64,
             2 => {
-                let bad = self.singly_bad_nodes(digests);
-                let b = bad.iter().filter(|&&x| x).count();
                 // Pairs touching a singly-bad node are bad outright.
                 let pairs_with_bad = choose(n, 2) - choose(n - b, 2);
                 // Plus pairs of individually-safe nodes that jointly
                 // overwhelm some cluster.
                 let mut joint: std::collections::HashSet<(usize, usize)> =
                     std::collections::HashSet::new();
-                for d in digests {
+                for d in &set.digests {
                     for a in 0..d.counts.len() {
                         for c in (a + 1)..d.counts.len() {
                             let (na, ca) = d.counts[a];
@@ -144,49 +392,20 @@ impl ReliabilityModel {
                 // the probability comes from clusters that need multiple
                 // correlated losses, where the per-cluster union bound is
                 // tight (and Monte Carlo covers the loose remainder).
-                let bad = self.singly_bad_nodes(digests);
-                let b = bad.iter().filter(|&&x| x).count();
                 let p_hit_bad = 1.0 - choose(n - b, j) / choose(n, j);
-                let residual: Vec<&ClusterNodes> = digests
+                let union: f64 = set
+                    .residual
                     .iter()
-                    .filter(|d| d.counts.iter().all(|&(node, _)| !bad[node]))
-                    .collect();
-                let union: f64 = residual.iter().map(|d| self.q_cluster_exact(j, d)).sum();
-                if union <= 0.1 {
-                    (p_hit_bad + (1.0 - p_hit_bad) * union).min(1.0)
-                } else if b == 0 {
-                    // Large multi-node-driven probability: sample.
-                    self.monte_carlo_q(j, digests, 16_000, 0x9e3779b97f4a7c15)
-                        .min(1.0)
-                } else {
-                    // Mixed case: sample only the residual structure.
-                    let residual_owned: Vec<ClusterNodes> = residual
-                        .iter()
-                        .map(|d| ClusterNodes {
-                            counts: d.counts.clone(),
-                            tolerance: d.tolerance,
-                        })
-                        .collect();
-                    let q_rest = self
-                        .monte_carlo_q(j, &residual_owned, 16_000, 0x9e3779b97f4a7c15)
-                        .min(1.0);
-                    (p_hit_bad + (1.0 - p_hit_bad) * q_rest).min(1.0)
+                    .map(|&i| self.q_cluster_exact(j, &set.digests[i]))
+                    .sum();
+                if union > 0.1 {
+                    // Large multi-node-driven probability: sample the
+                    // residual structure (every cluster when b == 0).
+                    return ClassQ::Sampled(p_hit_bad);
                 }
+                (p_hit_bad + (1.0 - p_hit_bad) * union).min(1.0)
             }
-        }
-    }
-
-    /// `bad[n]` = does losing node `n` alone kill some cluster?
-    fn singly_bad_nodes(&self, digests: &[ClusterNodes]) -> Vec<bool> {
-        let mut bad = vec![false; self.nodes];
-        for d in digests {
-            for &(node, cnt) in &d.counts {
-                if cnt > d.tolerance {
-                    bad[node] = true;
-                }
-            }
-        }
-        bad
+        })
     }
 
     /// Exact P(cluster dies | j uniformly-random node failures):
@@ -224,43 +443,10 @@ impl ReliabilityModel {
         q
     }
 
-    /// Monte-Carlo estimate of q(j) (parallel, deterministic per seed).
-    fn monte_carlo_q(&self, j: usize, digests: &[ClusterNodes], samples: usize, seed: u64) -> f64 {
-        let n = self.nodes;
-        let chunks = 8usize;
-        let per = samples / chunks;
-        let hits: usize = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
-                let mut local = 0usize;
-                for _ in 0..per {
-                    let failed = sample(&mut rng, n, j);
-                    let mut failed_mask = vec![false; n];
-                    for f in failed.iter() {
-                        failed_mask[f] = true;
-                    }
-                    let dead = digests.iter().any(|d| {
-                        let lost: u32 = d
-                            .counts
-                            .iter()
-                            .filter(|&&(node, _)| failed_mask[node])
-                            .map(|&(_, c)| c)
-                            .sum();
-                        lost > d.tolerance
-                    });
-                    if dead {
-                        local += 1;
-                    }
-                }
-                local
-            })
-            .sum();
-        hits as f64 / (per * chunks) as f64
-    }
-
     /// Public Monte-Carlo estimator (for cross-validating the analytic
-    /// path in tests and benches).
+    /// path in tests and benches). Draws exactly `samples` `j`-node
+    /// events; returns `0.0` when `j == 0`, `j > nodes` or
+    /// `samples == 0`.
     pub fn q_given_j_monte_carlo(
         &self,
         j: usize,
@@ -271,7 +457,12 @@ impl ReliabilityModel {
         seed: u64,
     ) -> f64 {
         let digests = self.digest(clustering, placement, tolerance);
-        self.monte_carlo_q(j, &digests, samples, seed)
+        monte_carlo_qs(
+            &Incidence::new(self.nodes, digests.iter()),
+            &[j],
+            samples,
+            seed,
+        )[0]
     }
 
     /// Probability that a random failure event (drawn from the event
@@ -283,17 +474,31 @@ impl ReliabilityModel {
         placement: &Placement,
         tolerance: &dyn Fn(usize) -> usize,
     ) -> f64 {
-        let digests = self.digest(clustering, placement, tolerance);
-        self.dist
+        let set = DigestSet::new(self.nodes, self.digest(clustering, placement, tolerance));
+        let classes: Vec<Option<ClassQ>> = self
+            .dist
             .p_nodes
             .iter()
             .enumerate()
-            .map(|(i, &p)| {
-                let j = i + 1;
-                if p == 0.0 {
-                    0.0
-                } else {
-                    p * self.q_from_digests(j, &digests)
+            .map(|(i, &p)| (p != 0.0).then(|| self.q_class(i + 1, &set)))
+            .collect();
+        // The classes the union bound cannot settle share one parallel
+        // Monte-Carlo region instead of spawning one each.
+        let sampled: Vec<usize> = (1..=classes.len())
+            .filter(|&j| matches!(classes[j - 1], Some(ClassQ::Sampled(_))))
+            .collect();
+        let mut q_rest =
+            monte_carlo_qs(&set.residual_incidence, &sampled, MC_SAMPLES, MC_SEED).into_iter();
+        self.dist
+            .p_nodes
+            .iter()
+            .zip(&classes)
+            .map(|(&p, class)| match *class {
+                None => 0.0,
+                Some(ClassQ::Exact(q)) => p * q,
+                Some(ClassQ::Sampled(p_hit_bad)) => {
+                    let q_rest = q_rest.next().expect("one estimate per sampled class");
+                    p * set.with_residual(p_hit_bad, q_rest)
                 }
             })
             .sum()
@@ -314,7 +519,70 @@ pub fn p_catastrophic_fti(nodes: usize, clustering: &Clustering, placement: &Pla
 mod tests {
     use super::*;
     use hcft_graph::Clustering;
-    use hcft_topology::Placement;
+    use hcft_topology::{NodeId, Placement};
+    use proptest::prelude::*;
+    use rand::seq::index::sample;
+    use rand::Rng;
+
+    /// The estimator the kernel replaced, kept as its oracle: a fresh
+    /// `index::sample` set and `nodes`-sized mask per draw, then a scan
+    /// of every digest's node list. Returns the hit count. Chunks split
+    /// the samples like [`chunk_len`]; for multiples of [`MC_CHUNKS`]
+    /// that is the old even split.
+    fn monte_carlo_hits_reference(
+        nodes: usize,
+        j: usize,
+        digests: &[ClusterNodes],
+        samples: usize,
+        seed: u64,
+    ) -> usize {
+        (0..MC_CHUNKS)
+            .into_par_iter()
+            .map(|c| {
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
+                let mut local = 0usize;
+                for _ in 0..chunk_len(samples, c) {
+                    let failed = sample(&mut rng, nodes, j);
+                    let mut failed_mask = vec![false; nodes];
+                    for f in failed.iter() {
+                        failed_mask[f] = true;
+                    }
+                    let dead = digests.iter().any(|d| {
+                        let lost: u32 = d
+                            .counts
+                            .iter()
+                            .filter(|&&(node, _)| failed_mask[node])
+                            .map(|&(_, c)| c)
+                            .sum();
+                        lost > d.tolerance
+                    });
+                    if dead {
+                        local += 1;
+                    }
+                }
+                local
+            })
+            .sum()
+    }
+
+    /// A random placement of `ranks` ranks over `nodes` nodes and a
+    /// random clustering of them into at most `clusters` clusters.
+    fn random_layout(
+        nodes: usize,
+        ranks: usize,
+        clusters: usize,
+        seed: u64,
+    ) -> (Clustering, Placement) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let node_of: Vec<NodeId> = (0..ranks)
+            .map(|_| NodeId::from(rng.random_range(0..nodes)))
+            .collect();
+        let assignment: Vec<usize> = (0..ranks).map(|_| rng.random_range(0..clusters)).collect();
+        (
+            Clustering::from_assignment(&assignment),
+            Placement::from_assignment(node_of, nodes),
+        )
+    }
 
     /// Distributed clustering over a block placement: cluster (g, slot)
     /// takes the slot-th rank of each node in node-group g.
@@ -426,6 +694,139 @@ mod tests {
             let q = m.q_given_j(j, &c, &p, &fti_tolerance);
             assert!(q + 1e-12 >= prev, "q({j}) = {q} < q({}) = {prev}", j - 1);
             prev = q;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn kernel_hit_count_matches_reference(
+            nodes in 1usize..=24,
+            ranks in 1usize..=64,
+            clusters in 1usize..=12,
+            layout_seed: u64,
+            tol in 0usize..3,
+            j_pick: usize,
+            seed: u64,
+            samples in 0usize..600,
+        ) {
+            let (c, p) = random_layout(nodes, ranks, clusters, layout_seed);
+            let m = ReliabilityModel::new(nodes, EventDistribution::single_node_only());
+            let tolerance: &dyn Fn(usize) -> usize = match tol {
+                0 => &fti_tolerance,
+                1 => &|_| 0,
+                _ => &|s| s,
+            };
+            let j = 1 + j_pick % nodes;
+            let digests = m.digest(&c, &p, tolerance);
+            let inc = Incidence::new(nodes, digests.iter());
+            let reference = monte_carlo_hits_reference(nodes, j, &digests, samples, seed);
+            let kernel = monte_carlo_qs(&inc, &[j], samples, seed)[0];
+            let expected = if samples == 0 { 0.0 } else { reference as f64 / samples as f64 };
+            prop_assert_eq!(kernel.to_bits(), expected.to_bits());
+            let public = m.q_given_j_monte_carlo(j, &c, &p, tolerance, samples, seed);
+            prop_assert_eq!(public.to_bits(), expected.to_bits());
+            // Sharing a parallel region with other classes (including
+            // ones outside 1..=nodes) leaves each class's estimate alone.
+            let other = 1 + j_pick / nodes % nodes;
+            let batch = monte_carlo_qs(&inc, &[0, other, j, nodes + 1], samples, seed);
+            let single = monte_carlo_qs(&inc, &[other], samples, seed)[0];
+            prop_assert_eq!(batch[1].to_bits(), single.to_bits());
+            prop_assert_eq!(batch[2].to_bits(), expected.to_bits());
+            prop_assert_eq!((batch[0], batch[3]), (0.0, 0.0));
+        }
+    }
+
+    #[test]
+    fn p_catastrophic_is_the_per_class_sum() {
+        // p_catastrophic samples all loose classes in one region; it must
+        // equal weighting each class's own q_given_j, bit for bit.
+        let mut sampled_any = false;
+        for seed in 0..6u64 {
+            let (c, p) = random_layout(12, 48, 6, seed);
+            let m = ReliabilityModel::new(12, EventDistribution::fti_calibrated());
+            let set = DigestSet::new(12, m.digest(&c, &p, &fti_tolerance));
+            let per_class: f64 = m
+                .dist
+                .p_nodes
+                .iter()
+                .enumerate()
+                .map(|(i, &pj)| {
+                    sampled_any |= matches!(m.q_class(i + 1, &set), ClassQ::Sampled(_));
+                    if pj == 0.0 {
+                        0.0
+                    } else {
+                        pj * m.q_given_j(i + 1, &c, &p, &fti_tolerance)
+                    }
+                })
+                .sum();
+            let batched = m.p_catastrophic(&c, &p, &fti_tolerance);
+            assert_eq!(batched.to_bits(), per_class.to_bits(), "layout seed {seed}");
+        }
+        assert!(sampled_any, "no layout reached the Monte-Carlo fallback");
+    }
+
+    #[test]
+    fn kernel_draws_index_sample_failed_sets() {
+        for nodes in [1usize, 2, 7, 32, 129] {
+            let inc = Incidence::new(nodes, std::iter::empty());
+            for j in [1, 2, nodes / 2, nodes.saturating_sub(1), nodes] {
+                if j == 0 || j > nodes {
+                    continue;
+                }
+                let seed = (nodes * 1000 + j) as u64;
+                let mut kernel_rng = StdRng::seed_from_u64(seed);
+                let mut sample_rng = StdRng::seed_from_u64(seed);
+                let mut scratch = McScratch::new(&inc, j);
+                for _ in 0..200 {
+                    scratch.draw(&mut kernel_rng, j);
+                    let drawn: Vec<usize> = scratch.pool[..j].iter().map(|&f| f as usize).collect();
+                    assert_eq!(drawn, sample(&mut sample_rng, nodes, j).into_vec());
+                    scratch.undo(j);
+                    assert!(scratch
+                        .pool
+                        .iter()
+                        .enumerate()
+                        .all(|(i, &f)| f as usize == i));
+                }
+                assert_eq!(kernel_rng.next_u64(), sample_rng.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn monte_carlo_draws_every_sample_below_chunk_count() {
+        // Used to divide by `samples / 8 * 8`: NaN below 8 samples and up
+        // to 7 samples silently dropped otherwise.
+        let p = Placement::block(8, 8);
+        let c = Clustering::consecutive(64, 8);
+        let m = ReliabilityModel::new(8, EventDistribution::single_node_only());
+        for samples in [1usize, 3, 7, 13] {
+            // Whole-node clusters die on any node loss: every draw hits.
+            let q = m.q_given_j_monte_carlo(1, &c, &p, &fti_tolerance, samples, 5);
+            assert_eq!(q, 1.0, "{samples} samples");
+        }
+        assert_eq!(
+            m.q_given_j_monte_carlo(1, &c, &p, &fti_tolerance, 0, 5),
+            0.0
+        );
+        let total: usize = (0..MC_CHUNKS).map(|c| chunk_len(13, c)).sum();
+        assert_eq!(total, 13);
+    }
+
+    #[test]
+    fn monte_carlo_outside_event_range_is_zero() {
+        // j > nodes used to panic inside a rayon worker
+        // ("cannot sample 9 indices from 0..8").
+        let p = Placement::block(8, 8);
+        let c = Clustering::consecutive(64, 8);
+        let m = ReliabilityModel::new(8, EventDistribution::single_node_only());
+        for j in [0usize, 9, 64] {
+            assert_eq!(
+                m.q_given_j_monte_carlo(j, &c, &p, &fti_tolerance, 800, 1),
+                0.0
+            );
+            assert_eq!(m.q_given_j(j, &c, &p, &fti_tolerance), 0.0);
         }
     }
 }

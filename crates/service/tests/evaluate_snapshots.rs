@@ -17,13 +17,14 @@ fn check(query: &str, snapshot: &str) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/snapshots")
         .join(snapshot);
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let expected =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let svc = EvalService::new(1, 1);
     let req = EvalRequest::from_query(query).expect("snapshot query parses");
     let body = svc.evaluate(&req).expect("snapshot request evaluates");
     assert_eq!(
-        *body, expected,
+        *body,
+        expected,
         "{query} response drifted from {}",
         path.display()
     );

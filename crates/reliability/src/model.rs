@@ -121,6 +121,10 @@ struct McScratch {
     swaps: Vec<u32>,
     /// Members lost per cluster; all zero between samples.
     lost: Vec<u32>,
+    /// Clusters charged by the current sample, for the reset. Distinct
+    /// failed nodes touch each incidence entry at most once, so one slot
+    /// per entry always suffices.
+    touched: Vec<u32>,
 }
 
 impl McScratch {
@@ -129,6 +133,7 @@ impl McScratch {
             pool: (0..inc.nodes() as u32).collect(),
             swaps: vec![0; j],
             lost: vec![0; inc.tolerance.len()],
+            touched: vec![0; inc.entries.len()],
         }
     }
 
@@ -162,17 +167,18 @@ impl McScratch {
     #[inline]
     fn catastrophic(&mut self, inc: &Incidence, j: usize) -> bool {
         let mut dead = false;
+        let mut touched = 0;
         for &f in &self.pool[..j] {
             for &(c, cnt) in inc.row(f) {
                 let lost = &mut self.lost[c as usize];
                 *lost += cnt;
                 dead |= *lost > inc.tolerance[c as usize];
+                self.touched[touched] = c;
+                touched += 1;
             }
         }
-        for &f in &self.pool[..j] {
-            for &(c, _) in inc.row(f) {
-                self.lost[c as usize] = 0;
-            }
+        for &c in &self.touched[..touched] {
+            self.lost[c as usize] = 0;
         }
         dead
     }
@@ -200,22 +206,26 @@ fn chunk_hits(inc: &Incidence, j: usize, samples: usize, seed: u64, c: usize) ->
 /// other classes in `js`.
 fn monte_carlo_qs(inc: &Incidence, js: &[usize], samples: usize, seed: u64) -> Vec<f64> {
     let sampled = |j: usize| j > 0 && j <= inc.nodes() && samples > 0;
-    let hits: Vec<usize> = (0..js.len() * MC_CHUNKS)
+    // Chunk-major order: a contiguous split of the region hands each
+    // worker the same chunks of every class, so larger-j classes do not
+    // pile onto one worker.
+    let hits: Vec<usize> = (0..MC_CHUNKS * js.len())
         .into_par_iter()
         .map(|item| {
-            let j = js[item / MC_CHUNKS];
+            let j = js[item % js.len()];
             if sampled(j) {
-                chunk_hits(inc, j, samples, seed, item % MC_CHUNKS)
+                chunk_hits(inc, j, samples, seed, item / js.len())
             } else {
                 0
             }
         })
         .collect();
     js.iter()
-        .zip(hits.chunks(MC_CHUNKS))
-        .map(|(&j, chunks)| {
+        .enumerate()
+        .map(|(class, &j)| {
             if sampled(j) {
-                chunks.iter().sum::<usize>() as f64 / samples as f64
+                let class_hits: usize = hits.iter().skip(class).step_by(js.len()).sum();
+                class_hits as f64 / samples as f64
             } else {
                 0.0
             }

@@ -271,26 +271,23 @@ impl DigestSet {
             residual_incidence,
         }
     }
-
-    /// q(j) of a [`ClassQ::Sampled`] class from the residual estimate.
-    fn with_residual(&self, p_hit_bad: f64, q_rest: f64) -> f64 {
-        let q_rest = q_rest.min(1.0);
-        if self.bad_count == 0 {
-            q_rest
-        } else {
-            (p_hit_bad + (1.0 - p_hit_bad) * q_rest).min(1.0)
-        }
-    }
 }
 
 /// Where one event class's q(j) comes from.
 enum ClassQ {
     /// Settled analytically.
     Exact(f64),
-    /// The union bound is loose: q(j) needs a Monte-Carlo estimate over
-    /// the residual clusters, combined with the exact probability
-    /// (carried here) of hitting a singly-bad node.
+    /// The union bound is loose: q(j) is [`mix`] of the exact probability
+    /// (carried here) of hitting a singly-bad node and a Monte-Carlo
+    /// estimate over the residual clusters.
     Sampled(f64),
+}
+
+/// q(j) from the probability `p_hit_bad` that the event hits a
+/// singly-bad node and the probability `q_rest` that it otherwise kills
+/// a residual cluster.
+fn mix(p_hit_bad: f64, q_rest: f64) -> f64 {
+    (p_hit_bad + (1.0 - p_hit_bad) * q_rest).min(1.0)
 }
 
 /// Reliability model for one machine size and event distribution.
@@ -358,7 +355,7 @@ impl ReliabilityModel {
             ClassQ::Exact(q) => q,
             ClassQ::Sampled(p_hit_bad) => {
                 let q_rest = monte_carlo_qs(&set.residual_incidence, &[j], MC_SAMPLES, MC_SEED);
-                set.with_residual(p_hit_bad, q_rest[0])
+                mix(p_hit_bad, q_rest[0].min(1.0))
             }
         }
     }
@@ -410,10 +407,11 @@ impl ReliabilityModel {
                     .sum();
                 if union > 0.1 {
                     // Large multi-node-driven probability: sample the
-                    // residual structure (every cluster when b == 0).
+                    // residual structure (every cluster when b == 0, where
+                    // p_hit_bad is exactly 0).
                     return ClassQ::Sampled(p_hit_bad);
                 }
-                (p_hit_bad + (1.0 - p_hit_bad) * union).min(1.0)
+                mix(p_hit_bad, union)
             }
         })
     }
@@ -508,7 +506,7 @@ impl ReliabilityModel {
                 Some(ClassQ::Exact(q)) => p * q,
                 Some(ClassQ::Sampled(p_hit_bad)) => {
                     let q_rest = q_rest.next().expect("one estimate per sampled class");
-                    p * set.with_residual(p_hit_bad, q_rest)
+                    p * mix(p_hit_bad, q_rest.min(1.0))
                 }
             })
             .sum()

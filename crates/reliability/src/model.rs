@@ -351,13 +351,32 @@ impl ReliabilityModel {
         tolerance: &dyn Fn(usize) -> usize,
     ) -> f64 {
         let set = DigestSet::new(self.nodes, self.digest(clustering, placement, tolerance));
-        match self.q_class(j, &set) {
-            ClassQ::Exact(q) => q,
-            ClassQ::Sampled(p_hit_bad) => {
-                let q_rest = monte_carlo_qs(&set.residual_incidence, &[j], MC_SAMPLES, MC_SEED);
-                mix(p_hit_bad, q_rest[0].min(1.0))
-            }
-        }
+        self.q_classes(&[j], &set)[0]
+    }
+
+    /// q(j) for every class in `js`. The classes the union bound cannot
+    /// settle share one parallel Monte-Carlo region instead of spawning
+    /// one each.
+    fn q_classes(&self, js: &[usize], set: &DigestSet) -> Vec<f64> {
+        let classes: Vec<ClassQ> = js.iter().map(|&j| self.q_class(j, set)).collect();
+        let sampled: Vec<usize> = js
+            .iter()
+            .zip(&classes)
+            .filter(|(_, class)| matches!(class, ClassQ::Sampled(_)))
+            .map(|(&j, _)| j)
+            .collect();
+        let mut q_rest =
+            monte_carlo_qs(&set.residual_incidence, &sampled, MC_SAMPLES, MC_SEED).into_iter();
+        classes
+            .into_iter()
+            .map(|class| match class {
+                ClassQ::Exact(q) => q,
+                ClassQ::Sampled(p_hit_bad) => {
+                    let q_rest = q_rest.next().expect("one estimate per sampled class");
+                    mix(p_hit_bad, q_rest.min(1.0))
+                }
+            })
+            .collect()
     }
 
     fn q_class(&self, j: usize, set: &DigestSet) -> ClassQ {
@@ -483,30 +502,18 @@ impl ReliabilityModel {
         tolerance: &dyn Fn(usize) -> usize,
     ) -> f64 {
         let set = DigestSet::new(self.nodes, self.digest(clustering, placement, tolerance));
-        let classes: Vec<Option<ClassQ>> = self
-            .dist
-            .p_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p != 0.0).then(|| self.q_class(i + 1, &set)))
+        let p_nodes = &self.dist.p_nodes;
+        let js: Vec<usize> = (1..=p_nodes.len())
+            .filter(|&j| p_nodes[j - 1] != 0.0)
             .collect();
-        // The classes the union bound cannot settle share one parallel
-        // Monte-Carlo region instead of spawning one each.
-        let sampled: Vec<usize> = (1..=classes.len())
-            .filter(|&j| matches!(classes[j - 1], Some(ClassQ::Sampled(_))))
-            .collect();
-        let mut q_rest =
-            monte_carlo_qs(&set.residual_incidence, &sampled, MC_SAMPLES, MC_SEED).into_iter();
-        self.dist
-            .p_nodes
+        let mut qs = self.q_classes(&js, &set).into_iter();
+        p_nodes
             .iter()
-            .zip(&classes)
-            .map(|(&p, class)| match *class {
-                None => 0.0,
-                Some(ClassQ::Exact(q)) => p * q,
-                Some(ClassQ::Sampled(p_hit_bad)) => {
-                    let q_rest = q_rest.next().expect("one estimate per sampled class");
-                    p * mix(p_hit_bad, q_rest.min(1.0))
+            .map(|&p| {
+                if p == 0.0 {
+                    0.0
+                } else {
+                    p * qs.next().expect("one q per weighted class")
                 }
             })
             .sum()
